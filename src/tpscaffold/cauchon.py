@@ -6,7 +6,9 @@ for all k < i, l < j.  The Le version visits pivots in column-major order
 starting at (1, 1) and updates the region k > i, l > j.  On a totally
 positive input every pivot is nonzero, every intermediate matrix stays
 strictly positive, and the final matrix is the scaffolding whose path-sum
-reconstruction returns the input.
+reconstruction returns the input.  Restoration walks the same pivots in
+reverse and adds the terms elimination subtracted; it is the exact inverse
+and reconstructs a matrix from its scaffolding in polynomial time.
 """
 
 from __future__ import annotations
@@ -49,53 +51,73 @@ class ZeroPivot(NotTotallyPositive):
         self.position = position
 
 
-def _gamma_pivots(m: int, n: int):
-    # Effective pivots only: (i, 1) and (1, j) have empty update regions.
-    for i in range(m, 1, -1):
-        for j in range(n, 1, -1):
-            yield (i, j)
+def _pivots(order: StepOrder, m: int, n: int):
+    """The effective pivots of ``order`` in elimination order, each with its
+    update region as 0-based row and column ranges.  A pivot's own row and
+    column lie outside its region, so the pivot row and column are final
+    once the pivot is applied and every step can be undone exactly."""
+    if order is StepOrder.REVERSE_LEX:
+        # (i, 1) and (1, j) are skipped: their regions k < i, l < j are empty.
+        for i in range(m, 1, -1):
+            for j in range(n, 1, -1):
+                yield (i, j), range(i - 1), range(j - 1)
+    else:
+        # (m, j) and (i, n) are skipped: their regions k > i, l > j are empty.
+        for j in range(1, n):
+            for i in range(1, m):
+                yield (i, j), range(i, m), range(j, n)
 
 
-def _le_pivots(m: int, n: int):
-    for j in range(1, n):
-        for i in range(1, m):
-            yield (i, j)
+def _precedes(order: StepOrder, p, q) -> bool:
+    if order is StepOrder.REVERSE_LEX:
+        return (-p[0], -p[1]) < (-q[0], -q[1])
+    return (p[1], p[0]) < (q[1], q[0])
 
 
-def _apply_gamma(grid: list, i: int, j: int) -> bool:
-    pivot = grid[i - 1][j - 1]
+def _pivot(grid: list, position, rows: range, cols: range, sign: int) -> bool:
+    """x[k,l] += sign * x[k,j] * x[i,l] / x[i,j] over the region rows x cols.
+
+    sign=-1 is one deleting-derivations step, sign=+1 restores it.  Returns
+    whether any entry changed."""
+    i, j = position
+    row_i = grid[i - 1]
+    pivot = row_i[j - 1]
     if pivot == 0:
-        raise ZeroPivot((i, j))
+        raise ZeroPivot(position)
     changed = False
-    for k in range(i - 1):
-        factor = grid[k][j - 1] / pivot
+    for k in rows:
+        row_k = grid[k]
+        factor = sign * row_k[j - 1] / pivot
         if factor == 0:
             continue
-        row_i = grid[i - 1]
-        for l in range(j - 1):
+        for l in cols:
             delta = factor * row_i[l]
             if delta:
-                grid[k][l] -= delta
+                row_k[l] += delta
                 changed = True
     return changed
 
 
-def _apply_le(grid: list, i: int, j: int, m: int, n: int) -> bool:
-    pivot = grid[i - 1][j - 1]
-    if pivot == 0:
-        raise ZeroPivot((i, j))
-    changed = False
-    for k in range(i, m):
-        factor = grid[k][j - 1] / pivot
-        if factor == 0:
-            continue
-        row_i = grid[i - 1]
-        for l in range(j, n):
-            delta = factor * row_i[l]
-            if delta:
-                grid[k][l] -= delta
-                changed = True
-    return changed
+def _eliminate(X: Matrix, order: StepOrder, before=None) -> Matrix:
+    """Apply the pivots of ``order`` to X, all of them or those strictly
+    before the position ``before``."""
+    grid = [list(row) for row in X.entries]
+    for position, rows, cols in _pivots(order, X.rows, X.cols):
+        if before is not None and not _precedes(order, position, before):
+            break
+        _pivot(grid, position, rows, cols, -1)
+    return Matrix(grid)
+
+
+def _restore(T: Matrix, order: StepOrder) -> Matrix:
+    """The exact inverse of the full elimination: undo the pivots of
+    ``order`` in reverse.  On strictly positive weights every update adds a
+    positive term, so no pivot vanishes and the result is the path-sum
+    matrix of the scaffolding."""
+    grid = [list(row) for row in T.entries]
+    for position, rows, cols in reversed(list(_pivots(order, T.rows, T.cols))):
+        _pivot(grid, position, rows, cols, 1)
+    return Matrix(grid)
 
 
 def _check_positive_output(T: Matrix) -> Matrix:
@@ -118,58 +140,33 @@ def gamma_scaffold(X: Matrix) -> Matrix:
     """
     if X.rows == 0:
         raise ValueError("scaffolding is undefined for the empty matrix")
-    grid = [list(row) for row in X.entries]
-    for (i, j) in _gamma_pivots(X.rows, X.cols):
-        _apply_gamma(grid, i, j)
-    return _check_positive_output(Matrix(grid))
+    return _check_positive_output(_eliminate(X, StepOrder.REVERSE_LEX))
 
 
 def le_scaffold(X: Matrix) -> Matrix:
     """Run the Le elimination to completion and return the Le scaffolding."""
     if X.rows == 0:
         raise ValueError("scaffolding is undefined for the empty matrix")
-    m, n = X.rows, X.cols
-    grid = [list(row) for row in X.entries]
-    for (i, j) in _le_pivots(m, n):
-        _apply_le(grid, i, j, m, n)
-    return _check_positive_output(Matrix(grid))
+    return _check_positive_output(_eliminate(X, StepOrder.COL_MAJOR))
 
 
-def _gamma_precedes(p, q) -> bool:
-    return p[0] > q[0] or (p[0] == q[0] and p[1] > q[1])
-
-
-def _le_precedes(p, q) -> bool:
-    return p[1] < q[1] or (p[1] == q[1] and p[0] < q[0])
+def _intermediate(X: Matrix, position, order: StepOrder) -> Matrix:
+    i, j = position
+    if not (1 <= i <= X.rows and 1 <= j <= X.cols):
+        raise IndexError(f"position {position} outside {X.rows}x{X.cols} matrix")
+    return _eliminate(X, order, before=(i, j))
 
 
 def gamma_intermediate(X: Matrix, position) -> Matrix:
     """The elimination state with every pivot strictly before ``position``
     (in reverse-lex order) already applied."""
-    i, j = position
-    if not (1 <= i <= X.rows and 1 <= j <= X.cols):
-        raise IndexError(f"position {position} outside {X.rows}x{X.cols} matrix")
-    grid = [list(row) for row in X.entries]
-    for piv in _gamma_pivots(X.rows, X.cols):
-        if not _gamma_precedes(piv, (i, j)):
-            break
-        _apply_gamma(grid, *piv)
-    return Matrix(grid)
+    return _intermediate(X, position, StepOrder.REVERSE_LEX)
 
 
 def le_intermediate(X: Matrix, position) -> Matrix:
     """The elimination state with every pivot strictly before ``position``
     (in column-major order) already applied."""
-    i, j = position
-    m, n = X.rows, X.cols
-    if not (1 <= i <= m and 1 <= j <= n):
-        raise IndexError(f"position {position} outside {m}x{n} matrix")
-    grid = [list(row) for row in X.entries]
-    for piv in _le_pivots(m, n):
-        if not _le_precedes(piv, (i, j)):
-            break
-        _apply_le(grid, *piv, m, n)
-    return Matrix(grid)
+    return _intermediate(X, position, StepOrder.COL_MAJOR)
 
 
 @dataclass(frozen=True)
@@ -205,25 +202,17 @@ def cauchon_trace(X: Matrix, order: StepOrder) -> CauchonTrace:
     if X.rows == 0:
         raise ValueError("trace is undefined for the empty matrix")
     m, n = X.rows, X.cols
-    grid = [list(row) for row in X.entries]
     if order is StepOrder.REVERSE_LEX:
-        first = (m, n)
-        pivots = _gamma_pivots(m, n)
+        first, (di, dj) = (m, n), (0, -1)  # effective pivots have j >= 2
     elif order is StepOrder.COL_MAJOR:
-        first = (1, 1)
-        pivots = _le_pivots(m, n)
+        first, (di, dj) = (1, 1), (1, 0)  # effective pivots have i <= m-1
     else:
         raise ValueError(f"unknown step order {order!r}")
+    grid = [list(row) for row in X.entries]
     steps: List[TraceStep] = [TraceStep(first, X)]
-    for (i, j) in pivots:
-        if order is StepOrder.REVERSE_LEX:
-            changed = _apply_gamma(grid, i, j)
-            successor = (i, j - 1)  # effective pivots have j >= 2
-        else:
-            changed = _apply_le(grid, i, j, m, n)
-            successor = (i + 1, j)  # effective pivots have i <= m-1
-        if changed:
-            steps.append(TraceStep(successor, Matrix(grid)))
+    for (i, j), rows, cols in _pivots(order, m, n):
+        if _pivot(grid, (i, j), rows, cols, -1):
+            steps.append(TraceStep((i + di, j + dj), Matrix(grid)))
     return CauchonTrace(order, tuple(steps))
 
 

@@ -9,19 +9,20 @@ left to right and vertical edges bottom to top.
 
 A path from row vertex i to column vertex j is determined by its turn
 sequence; weights alternate multiply/divide along the turns.  Summing path
-weights entrywise reconstructs a matrix from its scaffolding, and sums of
+weights entrywise defines the matrix of a scaffolding (``matrix_from_scaffold``
+computes it by Cauchon restoration, without enumerating paths), and sums of
 vertex-disjoint path systems compute its minors.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
+from .cauchon import StepOrder, _restore
 from .matrix import Matrix, det, leading_contiguous, leading_with_prefix
 
 __all__ = [
@@ -253,23 +254,14 @@ def enumerate_paths_bounded(g: ScaffoldGraph, i: int, j: int, col_bound: int) ->
 
 def matrix_from_scaffold(weights: Matrix, orientation: Orientation) -> Matrix:
     """Reconstruct the matrix whose (i, j) entry is the sum of the weights
-    of all paths i -> j in the scaffolding graph over ``weights``."""
-    g = build_graph(weights, orientation)
-    m, n = g.m, g.n
-    if comb((m - 1) + (n - 1), m - 1) > PATH_ENUMERATION_LIMIT:
-        raise ValueError("path count exceeds the enumeration limit")
-    grid = weights.entries
-    rows = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, n + 1):
-            if orientation is Orientation.GAMMA:
-                seqs = _gamma_turn_sequences(m, n, i, j)
-            else:
-                seqs = _le_turn_sequences(m, n, i, j)
-            row.append(sum(_weight(grid, t) for t in seqs))
-        rows.append(row)
-    return Matrix(rows)
+    of all paths i -> j in the scaffolding graph over ``weights``.
+
+    Computed without enumerating paths, by Cauchon restoration: the exact
+    inverse of the elimination that extracts the scaffolding."""
+    build_graph(weights, orientation)
+    if orientation is Orientation.GAMMA:
+        return _restore(weights, StepOrder.REVERSE_LEX)
+    return _restore(weights, StepOrder.COL_MAJOR)
 
 
 @dataclass(frozen=True)

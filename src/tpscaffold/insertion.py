@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .cauchon import gamma_intermediate, gamma_scaffold, le_scaffold
+from .cauchon import gamma_scaffold
 from .graph import Orientation, matrix_from_scaffold
 from .matrix import (
     Matrix,
@@ -42,22 +42,14 @@ __all__ = [
 
 
 def scaffold_prefix_matrix(X: Matrix, k: int) -> Matrix:
-    """The matrix whose Gamma scaffolding is the first k scaffold rows of X.
-
-    Computed two ways that must agree: by reconstructing the truncated
-    scaffolding, and as the first k rows of the elimination state X^(k+1,1).
-    """
+    """The matrix whose Gamma scaffolding is the first k scaffold rows of X:
+    the restoration of that truncated scaffolding.  Raises
+    NotTotallyPositive when X is not TP."""
     m = X.rows
     if not 1 <= k <= m:
         raise IndexError(f"row count {k} outside 1..{m}")
     T = gamma_scaffold(X)
-    reconstructed = matrix_from_scaffold(T.take_rows(1, k), Orientation.GAMMA)
-    if k < m:
-        intermediate = gamma_intermediate(X, (k + 1, 1)).take_rows(1, k)
-    else:
-        intermediate = X
-    assert reconstructed == intermediate, "scaffold-prefix routes disagree"
-    return reconstructed
+    return matrix_from_scaffold(T.take_rows(1, k), Orientation.GAMMA)
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,6 @@ def build_insertion_system(X: Matrix, k: int) -> InsertionSystem:
     below_coeffs = _border_above_coeffs(X, k + 1)
     above_coeffs = _border_below_coeffs(X, k)
     prefix_coeffs = _border_below_coeffs(prefix_matrix, k)
-    for j in range(1, n + 1):
-        assert below_coeffs[j, j] == 1 and above_coeffs[j, j] == 1 and prefix_coeffs[j, j] == 1
     return InsertionSystem(n, k, below_coeffs, above_coeffs, prefix_coeffs, prefix_matrix)
 
 
@@ -203,7 +193,8 @@ def solve_strongly_positive(system: InsertionSystem) -> InsertionSolution:
     check = verify_solution(
         system, solution.below_weights, solution.above_weights, solution.prefix_weights
     )
-    assert check.ok, check.detail
+    if not check.ok:
+        raise NotTotallyPositive(check.detail)
     return solution
 
 

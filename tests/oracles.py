@@ -2,8 +2,11 @@
 
 The Laplace determinant here is the second route for minor values: the
 library's fraction-free elimination must never be verified against itself.
-Random TP instances come from positive scaffold weights via the path-sum
-reconstruction, which is the definitional construction.
+Likewise the path-sum matrix, a sum of path weights over every enumerated
+lattice path, is the definitional second route for reconstruction, which the
+library computes by Cauchon restoration.  Random TP instances come from
+positive scaffold weights via that path sum, so test inputs do not come from
+the code under test.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tpscaffold import Matrix, Orientation, matrix_from_scaffold
+from tpscaffold import Matrix, Orientation, build_graph, enumerate_paths, path_weight
 
 
 def laplace_det(A: Matrix) -> Fraction:
@@ -48,9 +51,21 @@ def random_positive_matrix(rng: random.Random, m: int, n: int) -> Matrix:
     return Matrix([[random_rational(rng) for _ in range(n)] for _ in range(m)])
 
 
+def path_sum_matrix(T: Matrix, orientation: Orientation) -> Matrix:
+    """Entry (i, j) is the sum of the weights of all paths i -> j in the
+    scaffolding graph over T; exponential, test-only."""
+    g = build_graph(T, orientation)
+    return Matrix(
+        [
+            [sum(path_weight(g, p) for p in enumerate_paths(g, i, j)) for j in range(1, T.cols + 1)]
+            for i in range(1, T.rows + 1)
+        ]
+    )
+
+
 def random_tp_matrix(rng: random.Random, m: int, n: int) -> Matrix:
-    """TP by construction: path-sum reconstruction of positive weights."""
-    return matrix_from_scaffold(random_positive_matrix(rng, m, n), Orientation.GAMMA)
+    """TP by construction: path-sum matrix of positive weights."""
+    return path_sum_matrix(random_positive_matrix(rng, m, n), Orientation.GAMMA)
 
 
 def rot180(A: Matrix) -> Matrix:

@@ -3,10 +3,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
-from tpscaffold import Matrix, format_matrix, parse_matrix
+from tpscaffold import (
+    BorderSide,
+    Matrix,
+    format_matrix,
+    is_totally_positive,
+    parse_matrix,
+    recover_border_params,
+)
 from tpscaffold.cli import (
     EXIT_MALFORMED,
     EXIT_NOT_TP,
@@ -20,6 +28,11 @@ X23_TEXT = "2 3\n8 7/2 1\n1 1/2 1\n"
 T23_TEXT = "2 3\n1 3 1\n1 1/2 1\n"
 X33_TEXT = "3 3\n6 3 1\n3 2 1\n1 1 1\n"
 NOT_TP_TEXT = "2 2\n1 2\n2 1\n"
+
+# The all-ones 13x13 Gamma scaffolding and its matrix, whose entries count
+# the lattice paths: more than 10^6 of them end at entry (1, 1).
+ONES13 = Matrix([[1] * 13] * 13)
+PASCAL13 = Matrix([[comb(26 - i - j, 13 - i) for j in range(1, 14)] for i in range(1, 14)])
 
 
 def write(tmp_path, name, text):
@@ -92,6 +105,34 @@ class TestScaffoldAndReconstruct:
         path = write(tmp_path, "t.txt", "1 2\n0 1\n")
         assert main(["reconstruct", "--gamma", path]) == EXIT_PRECONDITION
         capsys.readouterr()
+
+
+class TestBeyondPathEnumeration:
+    def test_reconstruct(self, tmp_path, capsys):
+        path = write(tmp_path, "t.txt", format_matrix(ONES13))
+        assert main(["reconstruct", "--gamma", path]) == EXIT_OK
+        assert capsys.readouterr().out == format_matrix(PASCAL13)
+
+    def test_fast_check(self, tmp_path, capsys):
+        path = write(tmp_path, "x.txt", format_matrix(PASCAL13))
+        assert main(["check", "--fast", path]) == EXIT_OK
+        assert capsys.readouterr().out == "TP\n"
+
+    def test_border_below(self, tmp_path, capsys):
+        path = write(tmp_path, "x.txt", format_matrix(PASCAL13))
+        values = tuple(range(1, 14))
+        params = write(tmp_path, "p.txt", " ".join(map(str, values)) + "\n")
+        assert main(["border", path, "--side", "below", "--params", params]) == EXIT_OK
+        result = parse_matrix(capsys.readouterr().out)
+        assert result.without_row(14) == PASCAL13
+        assert recover_border_params(result, BorderSide.BELOW) == values
+
+    def test_insert_row(self, tmp_path, capsys):
+        path = write(tmp_path, "x.txt", format_matrix(PASCAL13))
+        assert main(["insert-row", path, "--after", "12"]) == EXIT_OK
+        result = parse_matrix(capsys.readouterr().out)
+        assert result.without_row(13) == PASCAL13
+        assert is_totally_positive(result, method="fast")
 
 
 class TestJson:

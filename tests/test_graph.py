@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import laplace_minor, random_positive_matrix
+from oracles import laplace_minor, path_sum_matrix, random_positive_matrix
 from tpscaffold import (
     Matrix,
     Orientation,
@@ -15,6 +15,8 @@ from tpscaffold import (
     enumerate_paths,
     enumerate_paths_bounded,
     enumerate_vertex_disjoint_systems,
+    gamma_scaffold,
+    le_scaffold,
     lgv_minor,
     matrix_from_scaffold,
     minor,
@@ -106,8 +108,9 @@ class TestPathEnumeration:
         big = Matrix([[1] * 25] * 25)
         with pytest.raises(ValueError):
             enumerate_paths(gamma(big), 1, 1)
-        with pytest.raises(ValueError):
-            matrix_from_scaffold(big, Orientation.GAMMA)
+        # Reconstruction enumerates no paths, so the limit does not apply.
+        assert gamma_scaffold(matrix_from_scaffold(big, Orientation.GAMMA)) == big
+        assert le_scaffold(matrix_from_scaffold(big, Orientation.LE)) == big
 
 
 class TestPathWeights:
@@ -201,6 +204,13 @@ class TestReconstruction:
         Y = matrix_from_scaffold(T, Orientation.LE)
         assert Y.row(1) == T.row(1)
         assert Y.column(1) == T.column(1)
+
+    def test_matches_path_sum_oracle(self, rng):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                T = random_positive_matrix(rng, m, n)
+                for orientation in Orientation:
+                    assert matrix_from_scaffold(T, orientation) == path_sum_matrix(T, orientation)
 
     def test_orientations_agree_through_anti_transpose(self, rng):
         for _ in range(10):
