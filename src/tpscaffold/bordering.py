@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .cauchon import gamma_scaffold, le_scaffold
 from .graph import Orientation, matrix_from_scaffold
-from .matrix import Matrix, det, leading_with_prefix, trailing_with_suffix
+from .matrix import Matrix, det, leading_with_prefix
 
 __all__ = [
     "BorderSide",
@@ -46,6 +46,11 @@ def _check_params(values: Sequence, length: int) -> tuple:
     if any(v <= 0 for v in params):
         raise ValueError("border parameters must be strictly positive")
     return params
+
+
+def _rotated(X: Matrix) -> Matrix:
+    """X turned by 180°: entry (i, j) moves to (m+1-i, n+1-j)."""
+    return Matrix(row[::-1] for row in reversed(X.entries))
 
 
 def border_above(X: Matrix, params: Sequence) -> Matrix:
@@ -105,17 +110,13 @@ def border_above_coefficient(X: Matrix, j: int, col: int) -> Fraction:
 def border_below_coefficient(X: Matrix, i: int, j: int) -> Fraction:
     """Coefficient of the i-th parameter in entry j of a row bordered
     below: det X[{..m-1, m}, {..i-1, j}] / det X[{..m-1, m}, {..i-1, i}]
-    (nonzero only for i <= j)."""
-    m, n = X.rows, X.cols
+    (nonzero only for i <= j).  This is the above coefficient of the 180°
+    rotation of X, read at the rotated positions; rotating reverses the
+    rows and the columns, so no minor changes sign."""
+    n = X.cols
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"arguments ({i},{j}) outside 1..{n}")
-    if i > j:
-        return Fraction(0)
-    num = det(trailing_with_suffix(X, m - 1, m, i - 1, j))
-    den = det(trailing_with_suffix(X, m - 1, m, i - 1, i))
-    if den == 0:
-        raise ZeroDivisionError("denominator minor vanishes; input is not totally positive")
-    return num / den
+    return border_above_coefficient(_rotated(X), n + 1 - j, n + 1 - i)
 
 
 def recover_border_params(bordered: Matrix, side: BorderSide) -> tuple:

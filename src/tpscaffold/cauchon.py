@@ -1,14 +1,21 @@
 """Cauchon's deleting-derivations elimination and scaffolding extraction.
 
-The Gamma version visits pivots in reverse-lexicographic order starting at
-(m, n); the pivot (i, j) subtracts x[k,j] * x[i,j]^-1 * x[i,l] from x[k,l]
-for all k < i, l < j.  The Le version visits pivots in column-major order
-starting at (1, 1) and updates the region k > i, l > j.  On a totally
-positive input every pivot is nonzero, every intermediate matrix stays
-strictly positive, and the final matrix is the scaffolding whose path-sum
-reconstruction returns the input.  Restoration walks the same pivots in
-reverse and adds the terms elimination subtracted; it is the exact inverse
-and reconstructs a matrix from its scaffolding in polynomial time.
+One pivot schedule serves both orientations.  The Gamma elimination visits
+pivots in reverse-lexicographic order starting at (m, n); the pivot (i, j)
+subtracts x[k,j] * x[i,j]^-1 * x[i,l] from x[k,l] for all k < i, l < j.  On
+a totally positive input every pivot is nonzero, every intermediate matrix
+stays strictly positive, and the final matrix is the scaffolding whose
+path-sum reconstruction returns the input.  Restoration walks the same
+pivots in reverse and adds the terms elimination subtracted; it is the exact
+inverse and reconstructs a matrix from its scaffolding in polynomial time.
+
+The Le elimination is the mirror image: the Le scaffolding of X is the
+anti-transpose of the Gamma scaffolding of X's anti-transpose.  Every Le
+entry point therefore runs the Gamma schedule on an anti-transposed working
+grid and maps back, matrices by anti-transpose and positions by
+(i, j) <-> (n+1-j, m+1-i).  Seen from X, the Le pivots run in column-major
+order from (1, 1) and update the region k > i, l > j.  Every position a
+caller sees (pivots, trace labels, error messages) is in X's coordinates.
 """
 
 from __future__ import annotations
@@ -51,39 +58,42 @@ class ZeroPivot(NotTotallyPositive):
         self.position = position
 
 
-def _pivots(order: StepOrder, m: int, n: int):
-    """The effective pivots of ``order`` in elimination order, each with its
-    update region as 0-based row and column ranges.  A pivot's own row and
-    column lie outside its region, so the pivot row and column are final
-    once the pivot is applied and every step can be undone exactly."""
-    if order is StepOrder.REVERSE_LEX:
-        # (i, 1) and (1, j) are skipped: their regions k < i, l < j are empty.
-        for i in range(m, 1, -1):
-            for j in range(n, 1, -1):
-                yield (i, j), range(i - 1), range(j - 1)
-    else:
-        # (m, j) and (i, n) are skipped: their regions k > i, l > j are empty.
-        for j in range(1, n):
-            for i in range(1, m):
-                yield (i, j), range(i, m), range(j, n)
+def _pivots(m: int, n: int):
+    """The effective pivots in reverse-lex order, each with its update
+    region k < i, l < j as 0-based row and column ranges.  (i, 1) and (1, j)
+    are skipped: their regions are empty.  A pivot's own row and column lie
+    outside its region, so the pivot row and column are final once the pivot
+    is applied and every step can be undone exactly."""
+    for i in range(m, 1, -1):
+        for j in range(n, 1, -1):
+            yield (i, j), range(i - 1), range(j - 1)
 
 
-def _precedes(order: StepOrder, p, q) -> bool:
-    if order is StepOrder.REVERSE_LEX:
-        return (-p[0], -p[1]) < (-q[0], -q[1])
-    return (p[1], p[0]) < (q[1], q[0])
+def _mirror(position, m: int, n: int) -> tuple:
+    """Where entry ``position`` of an m x n matrix sits in its anti-transpose."""
+    i, j = position
+    return (n + 1 - j, m + 1 - i)
 
 
-def _pivot(grid: list, position, rows: range, cols: range, sign: int) -> bool:
+def _grid(rows, mirror: bool) -> list:
+    """A list-of-lists copy of ``rows``, anti-transposed when ``mirror``."""
+    if mirror:
+        return [[row[j] for row in reversed(rows)] for j in reversed(range(len(rows[0])))]
+    return [list(row) for row in rows]
+
+
+def _pivot(grid: list, position, rows: range, cols: range, sign: int, mirror: bool) -> bool:
     """x[k,l] += sign * x[k,j] * x[i,l] / x[i,j] over the region rows x cols.
 
     sign=-1 is one deleting-derivations step, sign=+1 restores it.  Returns
-    whether any entry changed."""
+    whether any entry changed.  A zero pivot raises ZeroPivot at its
+    position in the caller's coordinates: mapped back when ``mirror`` says
+    the grid is anti-transposed."""
     i, j = position
     row_i = grid[i - 1]
     pivot = row_i[j - 1]
     if pivot == 0:
-        raise ZeroPivot(position)
+        raise ZeroPivot(_mirror(position, len(grid), len(row_i)) if mirror else position)
     changed = False
     for k in rows:
         row_k = grid[k]
@@ -98,26 +108,29 @@ def _pivot(grid: list, position, rows: range, cols: range, sign: int) -> bool:
     return changed
 
 
-def _eliminate(X: Matrix, order: StepOrder, before=None) -> Matrix:
-    """Apply the pivots of ``order`` to X, all of them or those strictly
-    before the position ``before``."""
-    grid = [list(row) for row in X.entries]
-    for position, rows, cols in _pivots(order, X.rows, X.cols):
-        if before is not None and not _precedes(order, position, before):
+def _eliminate(X: Matrix, mirror: bool, before=None) -> Matrix:
+    """Apply the pivots to X, all of them or those strictly before the
+    position ``before`` of X; to the anti-transpose of X when ``mirror``."""
+    grid = _grid(X.entries, mirror)
+    if before is not None and mirror:
+        before = _mirror(before, X.rows, X.cols)
+    for position, rows, cols in _pivots(len(grid), len(grid[0])):
+        # in reverse-lex order p comes before q exactly when p > q as tuples
+        if before is not None and position <= before:
             break
-        _pivot(grid, position, rows, cols, -1)
-    return Matrix(grid)
+        _pivot(grid, position, rows, cols, -1, mirror)
+    return Matrix(_grid(grid, mirror))
 
 
-def _restore(T: Matrix, order: StepOrder) -> Matrix:
-    """The exact inverse of the full elimination: undo the pivots of
-    ``order`` in reverse.  On strictly positive weights every update adds a
-    positive term, so no pivot vanishes and the result is the path-sum
-    matrix of the scaffolding."""
-    grid = [list(row) for row in T.entries]
-    for position, rows, cols in reversed(list(_pivots(order, T.rows, T.cols))):
-        _pivot(grid, position, rows, cols, 1)
-    return Matrix(grid)
+def _restore(T: Matrix, mirror: bool) -> Matrix:
+    """The exact inverse of the full elimination: undo the pivots in
+    reverse.  On strictly positive weights every update adds a positive
+    term, so no pivot vanishes and the result is the path-sum matrix of the
+    scaffolding (the Le one when ``mirror``)."""
+    grid = _grid(T.entries, mirror)
+    for position, rows, cols in reversed(list(_pivots(len(grid), len(grid[0])))):
+        _pivot(grid, position, rows, cols, 1, mirror)
+    return Matrix(_grid(grid, mirror))
 
 
 def _check_positive_output(T: Matrix) -> Matrix:
@@ -140,33 +153,34 @@ def gamma_scaffold(X: Matrix) -> Matrix:
     """
     if X.rows == 0:
         raise ValueError("scaffolding is undefined for the empty matrix")
-    return _check_positive_output(_eliminate(X, StepOrder.REVERSE_LEX))
+    return _check_positive_output(_eliminate(X, mirror=False))
 
 
 def le_scaffold(X: Matrix) -> Matrix:
-    """Run the Le elimination to completion and return the Le scaffolding."""
+    """Run the Le elimination to completion and return the Le scaffolding:
+    the Gamma elimination of the anti-transpose, mirrored back."""
     if X.rows == 0:
         raise ValueError("scaffolding is undefined for the empty matrix")
-    return _check_positive_output(_eliminate(X, StepOrder.COL_MAJOR))
+    return _check_positive_output(_eliminate(X, mirror=True))
 
 
-def _intermediate(X: Matrix, position, order: StepOrder) -> Matrix:
+def _intermediate(X: Matrix, position, mirror: bool) -> Matrix:
     i, j = position
     if not (1 <= i <= X.rows and 1 <= j <= X.cols):
         raise IndexError(f"position {position} outside {X.rows}x{X.cols} matrix")
-    return _eliminate(X, order, before=(i, j))
+    return _eliminate(X, mirror, before=(i, j))
 
 
 def gamma_intermediate(X: Matrix, position) -> Matrix:
     """The elimination state with every pivot strictly before ``position``
     (in reverse-lex order) already applied."""
-    return _intermediate(X, position, StepOrder.REVERSE_LEX)
+    return _intermediate(X, position, mirror=False)
 
 
 def le_intermediate(X: Matrix, position) -> Matrix:
     """The elimination state with every pivot strictly before ``position``
     (in column-major order) already applied."""
-    return _intermediate(X, position, StepOrder.COL_MAJOR)
+    return _intermediate(X, position, mirror=True)
 
 
 @dataclass(frozen=True)
@@ -197,22 +211,26 @@ def cauchon_trace(X: Matrix, order: StepOrder) -> CauchonTrace:
 
     The first step is the input labeled with the first pivot position; each
     pivot that changes the matrix records the new state labeled with the
-    pivot's successor in the step order.  No-op pivots are collapsed.
+    pivot's successor in the step order.  No-op pivots are collapsed.  The
+    COL_MAJOR (Le) trace is the reverse-lex trace of the anti-transpose,
+    with states and labels mirrored back.
     """
     if X.rows == 0:
         raise ValueError("trace is undefined for the empty matrix")
-    m, n = X.rows, X.cols
-    if order is StepOrder.REVERSE_LEX:
-        first, (di, dj) = (m, n), (0, -1)  # effective pivots have j >= 2
-    elif order is StepOrder.COL_MAJOR:
-        first, (di, dj) = (1, 1), (1, 0)  # effective pivots have i <= m-1
-    else:
+    if not isinstance(order, StepOrder):
         raise ValueError(f"unknown step order {order!r}")
-    grid = [list(row) for row in X.entries]
-    steps: List[TraceStep] = [TraceStep(first, X)]
-    for (i, j), rows, cols in _pivots(order, m, n):
-        if _pivot(grid, (i, j), rows, cols, -1):
-            steps.append(TraceStep((i + di, j + dj), Matrix(grid)))
+    mirror = order is StepOrder.COL_MAJOR
+    grid = _grid(X.entries, mirror)
+    m, n = len(grid), len(grid[0])
+
+    def label(position):
+        return _mirror(position, m, n) if mirror else position
+
+    steps: List[TraceStep] = [TraceStep(label((m, n)), X)]
+    for (i, j), rows, cols in _pivots(m, n):
+        if _pivot(grid, (i, j), rows, cols, -1, mirror):
+            # effective pivots have j >= 2, so the successor (i, j-1) exists
+            steps.append(TraceStep(label((i, j - 1)), Matrix(_grid(grid, mirror))))
     return CauchonTrace(order, tuple(steps))
 
 
@@ -243,21 +261,10 @@ class PartialTPResult:
 PARTIAL_TP_MINOR_LIMIT = 5
 
 
-def _region(order: StepOrder, label, m: int, n: int) -> set:
-    i, j = label
-    if order is StepOrder.REVERSE_LEX:
-        return {
-            (k, l)
-            for k in range(1, m + 1)
-            for l in range(1, n + 1)
-            if k < i or (k == i and l <= j)
-        }
-    return {
-        (k, l)
-        for k in range(1, m + 1)
-        for l in range(1, n + 1)
-        if l > j or (l == j and k >= i)
-    }
+def _region(label, m: int, n: int) -> set:
+    """The positions lexicographically at most ``label``: ``label`` and
+    every position after it in reverse-lex order."""
+    return {(k, l) for k in range(1, m + 1) for l in range(1, n + 1) if (k, l) <= label}
 
 
 def partial_tp_check(trace: CauchonTrace) -> PartialTPResult:
@@ -280,7 +287,12 @@ def partial_tp_check(trace: CauchonTrace) -> PartialTPResult:
                     )
         if not enumerate_minors:
             continue
-        region = _region(trace.order, step.position, m, n)
+        if trace.order is StepOrder.COL_MAJOR:
+            # the Le region is the mirror of the Gamma one
+            mirrored = _region(_mirror(step.position, m, n), n, m)
+            region = {_mirror(p, n, m) for p in mirrored}
+        else:
+            region = _region(step.position, m, n)
         for k in range(2, min(m, n) + 1):
             for I in itertools.combinations(range(1, m + 1), k):
                 for J in itertools.combinations(range(1, n + 1), k):

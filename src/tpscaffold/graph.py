@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Iterable, List
 
-from .cauchon import StepOrder, _restore
+from .cauchon import _restore
 from .matrix import Matrix, det, leading_contiguous, leading_with_prefix
 
 __all__ = [
@@ -259,9 +259,7 @@ def matrix_from_scaffold(weights: Matrix, orientation: Orientation) -> Matrix:
     Computed without enumerating paths, by Cauchon restoration: the exact
     inverse of the elimination that extracts the scaffolding."""
     build_graph(weights, orientation)
-    if orientation is Orientation.GAMMA:
-        return _restore(weights, StepOrder.REVERSE_LEX)
-    return _restore(weights, StepOrder.COL_MAJOR)
+    return _restore(weights, mirror=orientation is Orientation.LE)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from .bordering import _rotated, border_above_coefficient
 from .cauchon import gamma_scaffold
 from .graph import Orientation, matrix_from_scaffold
-from .matrix import (
-    Matrix,
-    NotTotallyPositive,
-    det,
-    leading_with_prefix,
-    trailing_with_suffix,
-)
+from .matrix import Matrix, NotTotallyPositive
 
 __all__ = [
     "InsertionSystem",
@@ -71,46 +66,13 @@ class InsertionSystem:
     prefix_matrix: Matrix
 
 
-def _ratio(num: Fraction, den: Fraction) -> Fraction:
-    if den == 0:
-        raise NotTotallyPositive("coefficient minor vanishes; input is not totally positive")
-    return num / den
-
-
-def _border_above_coeffs(X: Matrix, anchor: int) -> Matrix:
-    """Row j, column l: the weight-l coefficient for a row bordered above
-    the block starting at row ``anchor``, from minors of X."""
-    n = X.cols
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for l in range(1, n + 1):
-            if l < j:
-                row.append(Fraction(0))
-            else:
-                num = det(leading_with_prefix(X, anchor, anchor + 1, j, l + 1))
-                den = det(leading_with_prefix(X, anchor, anchor + 1, l, l + 1))
-                row.append(_ratio(num, den))
-        rows.append(row)
-    return Matrix(rows)
-
-
-def _border_below_coeffs(X: Matrix, anchor: int) -> Matrix:
-    """Row j, column i: the weight-i coefficient for a row bordered below
-    the block ending at row ``anchor``, from minors of X."""
-    n = X.cols
-    rows = []
-    for j in range(1, n + 1):
-        row = []
-        for i in range(1, n + 1):
-            if i > j:
-                row.append(Fraction(0))
-            else:
-                num = det(trailing_with_suffix(X, anchor - 1, anchor, i - 1, j))
-                den = det(trailing_with_suffix(X, anchor - 1, anchor, i - 1, i))
-                row.append(_ratio(num, den))
-        rows.append(row)
-    return Matrix(rows)
+def _coefficients(Y: Matrix) -> Matrix:
+    """Row j, column l: the weight-l coefficient of entry j in a row
+    bordered above Y."""
+    n = Y.cols
+    return Matrix(
+        [border_above_coefficient(Y, j, l) for l in range(1, n + 1)] for j in range(1, n + 1)
+    )
 
 
 def build_insertion_system(X: Matrix, k: int) -> InsertionSystem:
@@ -121,9 +83,11 @@ def build_insertion_system(X: Matrix, k: int) -> InsertionSystem:
     if not 1 <= k <= m - 1:
         raise IndexError(f"insertion position {k} outside 1..{m - 1}")
     prefix_matrix = scaffold_prefix_matrix(X, k)
-    below_coeffs = _border_above_coeffs(X, k + 1)
-    above_coeffs = _border_below_coeffs(X, k)
-    prefix_coeffs = _border_below_coeffs(prefix_matrix, k)
+    below_coeffs = _coefficients(X.take_rows(k + 1, m))
+    # a row bordered below a block is a row bordered above the block turned
+    # by 180°, so its coefficients are those turned back
+    above_coeffs = _rotated(_coefficients(_rotated(X.take_rows(1, k))))
+    prefix_coeffs = _rotated(_coefficients(_rotated(prefix_matrix)))
     return InsertionSystem(n, k, below_coeffs, above_coeffs, prefix_coeffs, prefix_matrix)
 
 

@@ -334,9 +334,11 @@ def trailing_with_suffix(A: Matrix, i: int, i0: int, j: int, j0: int) -> Matrix:
 class TPVerdict:
     """Outcome of a total-positivity check.
 
-    ``witness`` is a pair of index sets whose minor is not positive, when one
-    is available (the exhaustive check always provides one on failure; the
-    fast check only for a non-positive entry).
+    ``witness`` is a pair of index sets whose minor ``witness_value`` is not
+    positive; both methods provide one on failure.  The exhaustive check
+    reports the first non-positive minor in order of size; the fast check a
+    non-positive entry, or else the contiguous block leading_contiguous(A,
+    i, j) at the first zero pivot or non-positive scaffolding entry (i, j).
     """
 
     is_tp: bool
@@ -351,6 +353,11 @@ class TPVerdict:
 EXHAUSTIVE_SIZE_LIMIT = 8
 
 
+def _not_tp(I: tuple, J: tuple, value: Fraction) -> TPVerdict:
+    reason = f"minor[I={list(I)}; J={list(J)}] = {value}"
+    return TPVerdict(False, witness=(I, J), witness_value=value, reason=reason)
+
+
 def is_totally_positive(A: Matrix, method: str = "exhaustive", force: bool = False) -> TPVerdict:
     """Decide whether every square minor of A is strictly positive.
 
@@ -359,7 +366,11 @@ def is_totally_positive(A: Matrix, method: str = "exhaustive", force: bool = Fal
     first non-positive minor as a witness.  method="fast" runs the Gamma
     deleting-derivations elimination: A is TP iff no pivot vanishes and the
     final matrix is strictly positive.  Every step is invertible, so A is the
-    restoration of that positive scaffolding, whose path sums are TP.
+    restoration of that positive scaffolding, whose path sums are TP.  Its
+    entry (i, j) is det A[i.., j..] / det A[i+1.., j+1..], so the contiguous
+    minor at a zero pivot (i, j) vanishes, and the one at the first
+    non-positive entry (i, j) in reverse-lex order is not positive (the
+    diagonal entries after it are positive pivots).
     """
     if A.rows == 0:
         raise ValueError("total positivity is undefined for the empty matrix")
@@ -375,12 +386,7 @@ def is_totally_positive(A: Matrix, method: str = "exhaustive", force: bool = Fal
                 for J in itertools.combinations(range(1, n + 1), k):
                     v = minor(A, I, J)
                     if v <= 0:
-                        return TPVerdict(
-                            False,
-                            witness=(I, J),
-                            witness_value=v,
-                            reason=f"minor[I={list(I)}; J={list(J)}] = {v}",
-                        )
+                        return _not_tp(I, J, v)
         return TPVerdict(True)
     if method == "fast":
         for i in range(1, m + 1):
@@ -393,13 +399,20 @@ def is_totally_positive(A: Matrix, method: str = "exhaustive", force: bool = Fal
                         witness_value=v,
                         reason=f"entry ({i},{j}) = {v}",
                     )
-        from .cauchon import gamma_scaffold
+        from .cauchon import ZeroPivot, _eliminate
 
         try:
-            gamma_scaffold(A)
-        except NotTotallyPositive as exc:
-            return TPVerdict(False, reason=str(exc))
-        return TPVerdict(True)
+            T = _eliminate(A, mirror=False)
+        except ZeroPivot as exc:
+            i, j = exc.position
+        else:
+            bad = [(i, j) for i in range(m, 0, -1) for j in range(n, 0, -1) if T[i, j] <= 0]
+            if not bad:
+                return TPVerdict(True)
+            i, j = bad[0]
+        k = min(m - i, n - j)
+        I, J = tuple(range(i, i + k + 1)), tuple(range(j, j + k + 1))
+        return _not_tp(I, J, minor(A, I, J))
     raise ValueError(f"unknown method {method!r}; expected 'exhaustive' or 'fast'")
 
 
@@ -469,7 +482,7 @@ def parse_matrix_json(text: str) -> Matrix:
     if not isinstance(data, dict) or set(data) != {"rows", "cols", "entries"}:
         raise MatrixFormatError('JSON matrix must have exactly the keys "rows", "cols", "entries"')
     m, n, entries = data["rows"], data["cols"], data["entries"]
-    if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in (m, n)) or m < 1 or n < 1:
         raise MatrixFormatError(f"dimensions must be positive integers, got {m!r} {n!r}")
     if not isinstance(entries, list) or len(entries) != m:
         raise MatrixFormatError(f"expected {m} entry rows")

@@ -67,6 +67,11 @@ class TestScaffolds:
             gamma_scaffold(X)
         assert exc.value.position == (2, 2)
         assert isinstance(exc.value, NotTotallyPositive)
+        # Le positions are in X's coordinates; the mirrored run meets this
+        # pivot at (3, 2) of the anti-transpose
+        with pytest.raises(ZeroPivot) as exc:
+            le_scaffold(Matrix([[2, 2, 3, 2], [2, 2, 1, 1], [2, 2, 2, 2]]))
+        assert exc.value.position == (2, 2)
 
     def test_non_positive_output_rejected(self):
         with pytest.raises(NotTotallyPositive) as exc:

@@ -154,6 +154,9 @@ class TestJson:
     def test_json_schema_errors_are_malformed(self, tmp_path, capsys):
         path = write(tmp_path, "x.json", '{"rows": 2}')
         assert main(["check", "--json", path]) == EXIT_MALFORMED
+        boolean = '{"rows": true, "cols": true, "entries": [["5"]]}'
+        path = write(tmp_path, "bool.json", boolean)
+        assert main(["check", "--json", path]) == EXIT_MALFORMED
         capsys.readouterr()
 
 

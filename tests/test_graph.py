@@ -211,6 +211,8 @@ class TestReconstruction:
                 T = random_positive_matrix(rng, m, n)
                 for orientation in Orientation:
                     assert matrix_from_scaffold(T, orientation) == path_sum_matrix(T, orientation)
+                assert gamma_scaffold(path_sum_matrix(T, Orientation.GAMMA)) == T
+                assert le_scaffold(path_sum_matrix(T, Orientation.LE)) == T
 
     def test_orientations_agree_through_anti_transpose(self, rng):
         for _ in range(10):

@@ -235,19 +235,31 @@ class TestTotalPositivity:
 
     def test_fast_mode_agrees_on_example(self):
         assert is_totally_positive(X33, method="fast").is_tp
-        assert not is_totally_positive(Matrix([[1, 2], [2, 1]]), method="fast").is_tp
+        negative_entry = is_totally_positive(Matrix([[1, 2], [2, 1]]), method="fast")
+        assert not negative_entry.is_tp
+        assert negative_entry.witness == ((1, 2), (1, 2))
+        assert negative_entry.reason == "minor[I=[1, 2]; J=[1, 2]] = -3"
+        zero_pivot = is_totally_positive(Matrix([[1, 1, 1], [1, 2, 1], [1, 2, 1]]), method="fast")
+        assert zero_pivot.witness == ((2, 3), (2, 3))
+        assert zero_pivot.witness_value == 0
 
     def test_fast_and_exhaustive_agree_on_random_instances(self, rng):
+        def agree(A):
+            fast = is_totally_positive(A, method="fast")
+            assert is_totally_positive(A).is_tp == fast.is_tp
+            if not fast.is_tp:
+                assert fast.witness_value == laplace_minor(A, *fast.witness) <= 0
+
         for _ in range(30):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             tp = random_tp_matrix(rng, m, n)
             assert is_totally_positive(tp).is_tp
             assert is_totally_positive(tp, method="fast").is_tp
-            other = random_positive_matrix(rng, m, n)
-            assert (
-                is_totally_positive(other).is_tp
-                == is_totally_positive(other, method="fast").is_tp
-            )
+            agree(random_positive_matrix(rng, m, n))
+        # small integer entries make zero pivots and vanishing minors common
+        for _ in range(30):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            agree(Matrix([[rng.randint(1, 3) for _ in range(n)] for _ in range(m)]))
 
     def test_verdict_invariant_under_transpositions(self, rng):
         for _ in range(10):
@@ -337,3 +349,5 @@ class TestTextFormat:
             parse_matrix_json('{"rows": 1, "cols": 1, "entries": [[1.5]]}')
         with pytest.raises(MatrixFormatError):
             parse_matrix_json("{bad json")
+        with pytest.raises(MatrixFormatError):
+            parse_matrix_json('{"rows": true, "cols": true, "entries": [["5"]]}')
