@@ -5,9 +5,9 @@ pivots in reverse-lexicographic order starting at (m, n); the pivot (i, j)
 subtracts x[k,j] * x[i,j]^-1 * x[i,l] from x[k,l] for all k < i, l < j.  On
 a totally positive input every pivot is nonzero, every intermediate matrix
 stays strictly positive, and the final matrix is the scaffolding whose
-path-sum reconstruction returns the input.  Restoration walks the same
-pivots in reverse and adds the terms elimination subtracted; it is the exact
-inverse and reconstructs a matrix from its scaffolding in polynomial time.
+path-sum reconstruction returns the input.  Restoration, one pass per row,
+adds back the terms elimination subtracted; it is the exact inverse and
+reconstructs a matrix from its scaffolding in polynomial time.
 
 The Le elimination is the mirror image: the Le scaffolding of X is the
 anti-transpose of the Gamma scaffolding of X's anti-transpose.  Every Le
@@ -82,13 +82,11 @@ def _grid(rows, mirror: bool) -> list:
     return [list(row) for row in rows]
 
 
-def _pivot(grid: list, position, rows: range, cols: range, sign: int, mirror: bool) -> bool:
-    """x[k,l] += sign * x[k,j] * x[i,l] / x[i,j] over the region rows x cols.
-
-    sign=-1 is one deleting-derivations step, sign=+1 restores it.  Returns
-    whether any entry changed.  A zero pivot raises ZeroPivot at its
-    position in the caller's coordinates: mapped back when ``mirror`` says
-    the grid is anti-transposed."""
+def _pivot(grid: list, position, rows: range, cols: range, mirror: bool) -> bool:
+    """One deleting-derivations step: x[k,l] -= x[k,j] * x[i,l] / x[i,j]
+    over the region rows x cols.  Returns whether any entry changed.  A zero
+    pivot raises ZeroPivot at its position in the caller's coordinates:
+    mapped back when ``mirror`` says the grid is anti-transposed."""
     i, j = position
     row_i = grid[i - 1]
     pivot = row_i[j - 1]
@@ -97,13 +95,13 @@ def _pivot(grid: list, position, rows: range, cols: range, sign: int, mirror: bo
     changed = False
     for k in rows:
         row_k = grid[k]
-        factor = sign * row_k[j - 1] / pivot
+        factor = row_k[j - 1] / pivot
         if factor == 0:
             continue
         for l in cols:
             delta = factor * row_i[l]
             if delta:
-                row_k[l] += delta
+                row_k[l] -= delta
                 changed = True
     return changed
 
@@ -118,18 +116,32 @@ def _eliminate(X: Matrix, mirror: bool, before=None) -> Matrix:
         # in reverse-lex order p comes before q exactly when p > q as tuples
         if before is not None and position <= before:
             break
-        _pivot(grid, position, rows, cols, -1, mirror)
+        _pivot(grid, position, rows, cols, mirror)
     return Matrix(_grid(grid, mirror))
 
 
+def _lift(x: list, rows) -> None:
+    """Add back to ``x``, in place, what the pivots of ``rows`` subtracted:
+    rows nearest first, pivots j = 2.. in order, x[l] += x[j] * p[l] / p[j]
+    for l < j (nothing when x[j] is 0).  Linear in the starting ``x``."""
+    for p in rows:
+        for j in range(1, len(p)):
+            if x[j]:
+                factor = x[j] / p[j]
+                for l in range(j):
+                    x[l] += factor * p[l]
+
+
 def _restore(T: Matrix, mirror: bool) -> Matrix:
-    """The exact inverse of the full elimination: undo the pivots in
-    reverse.  On strictly positive weights every update adds a positive
-    term, so no pivot vanishes and the result is the path-sum matrix of the
-    scaffolding (the Le one when ``mirror``)."""
+    """The exact inverse of the full elimination.  Undone in reverse, each
+    pivot row is changed only by pivots that run after its own, so row k is
+    T[k] lifted over the weight rows T[k+1..]; lifting top-down, in place,
+    reads weights only.  On strictly positive weights every update adds a
+    positive term and the result is the path-sum matrix of the scaffolding
+    (the Le one when ``mirror``)."""
     grid = _grid(T.entries, mirror)
-    for position, rows, cols in reversed(list(_pivots(len(grid), len(grid[0])))):
-        _pivot(grid, position, rows, cols, 1, mirror)
+    for k, row in enumerate(grid):
+        _lift(row, grid[k + 1 :])
     return Matrix(_grid(grid, mirror))
 
 
@@ -228,7 +240,7 @@ def cauchon_trace(X: Matrix, order: StepOrder) -> CauchonTrace:
 
     steps: List[TraceStep] = [TraceStep(label((m, n)), X)]
     for (i, j), rows, cols in _pivots(m, n):
-        if _pivot(grid, (i, j), rows, cols, -1, mirror):
+        if _pivot(grid, (i, j), rows, cols, mirror):
             # effective pivots have j >= 2, so the successor (i, j-1) exists
             steps.append(TraceStep(label((i, j - 1)), Matrix(_grid(grid, mirror))))
     return CauchonTrace(order, tuple(steps))
@@ -261,12 +273,6 @@ class PartialTPResult:
 PARTIAL_TP_MINOR_LIMIT = 5
 
 
-def _region(label, m: int, n: int) -> set:
-    """The positions lexicographically at most ``label``: ``label`` and
-    every position after it in reverse-lex order."""
-    return {(k, l) for k in range(1, m + 1) for l in range(1, n + 1) if (k, l) <= label}
-
-
 def partial_tp_check(trace: CauchonTrace) -> PartialTPResult:
     """Verify the partial total positivity of every trace state.
 
@@ -277,6 +283,7 @@ def partial_tp_check(trace: CauchonTrace) -> PartialTPResult:
     """
     m, n = trace.initial.rows, trace.initial.cols
     enumerate_minors = min(m, n) <= PARTIAL_TP_MINOR_LIMIT
+    le = trace.order is StepOrder.COL_MAJOR
     for step in trace.steps:
         M = step.matrix
         for i in range(1, m + 1):
@@ -287,16 +294,13 @@ def partial_tp_check(trace: CauchonTrace) -> PartialTPResult:
                     )
         if not enumerate_minors:
             continue
-        if trace.order is StepOrder.COL_MAJOR:
-            # the Le region is the mirror of the Gamma one
-            mirrored = _region(_mirror(step.position, m, n), n, m)
-            region = {_mirror(p, n, m) for p in mirrored}
-        else:
-            region = _region(step.position, m, n)
+        # the region is a down-set in lex order (mirrored for Le), so a
+        # rectangle lies inside it exactly when its lex-largest corner does
+        bound = _mirror(step.position, m, n) if le else step.position
         for k in range(2, min(m, n) + 1):
             for I in itertools.combinations(range(1, m + 1), k):
                 for J in itertools.combinations(range(1, n + 1), k):
-                    if all((a, b) in region for a in I for b in J):
+                    if (_mirror((I[0], J[0]), m, n) if le else (I[-1], J[-1])) <= bound:
                         v = minor(M, I, J)
                         if v <= 0:
                             return PartialTPResult(

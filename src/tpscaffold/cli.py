@@ -3,8 +3,9 @@
 Matrices travel in the plain text format (header "m n", then m rows of n
 rational tokens) or, behind --json, in the JSON mirror.  Exit codes:
 0 success (and "TP" verdicts), 1 a NOT-TP verdict from ``check``, 2 usage
-errors, 3 malformed input files, 4 precondition failures (non-TP inputs to
-constructions, invalid witnesses, out-of-range indices).
+errors and an unwritable output file, 3 malformed input files, 4
+precondition failures (non-TP inputs to constructions, invalid witnesses,
+out-of-range indices).  Exact entries may have any number of digits.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})")
 
 
 def _read_matrix(path: str, as_json: bool) -> Matrix:
@@ -50,12 +53,19 @@ def _read_matrix(path: str, as_json: bool) -> Matrix:
     return parse_matrix_json(text) if as_json else parse_matrix(text)
 
 
+class _UnwritableOutput(Exception):
+    """The -o file could not be written."""
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _UnwritableOutput(f"cannot write {path}: {exc.strerror}")
 
 
 def _emit_matrix(A: Matrix, args) -> None:
@@ -242,14 +252,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # lift the interpreter's cap on the digits of an int read or printed
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _run(args)
     except MatrixFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except _UnwritableOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NotTotallyPositive, ValueError, IndexError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

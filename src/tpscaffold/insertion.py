@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .bordering import _rotated, border_above_coefficient
-from .cauchon import gamma_scaffold
+from .bordering import _rotated
+from .cauchon import _lift, gamma_scaffold
 from .graph import Orientation, matrix_from_scaffold
 from .matrix import Matrix, NotTotallyPositive
 
@@ -66,13 +66,14 @@ class InsertionSystem:
     prefix_matrix: Matrix
 
 
-def _coefficients(Y: Matrix) -> Matrix:
-    """Row j, column l: the weight-l coefficient of entry j in a row
-    bordered above Y."""
-    n = Y.cols
-    return Matrix(
-        [border_above_coefficient(Y, j, l) for l in range(1, n + 1)] for j in range(1, n + 1)
-    )
+def _coefficients(T: Matrix) -> Matrix:
+    """Row j, column l: the weight-l coefficient of entry j in a row bordered
+    above the block whose Gamma scaffolding is T.  That row is its weights
+    lifted over T, linear in them, so column l is the unit row e_l lifted."""
+    columns = [[int(j == l) for j in range(T.cols)] for l in range(T.cols)]
+    for x in columns:
+        _lift(x, T.entries)
+    return Matrix(zip(*columns))
 
 
 def build_insertion_system(X: Matrix, k: int) -> InsertionSystem:
@@ -82,12 +83,15 @@ def build_insertion_system(X: Matrix, k: int) -> InsertionSystem:
         raise ValueError("row insertion requires at least two rows")
     if not 1 <= k <= m - 1:
         raise IndexError(f"insertion position {k} outside 1..{m - 1}")
-    prefix_matrix = scaffold_prefix_matrix(X, k)
-    below_coeffs = _coefficients(X.take_rows(k + 1, m))
+    T = gamma_scaffold(X)
+    prefix_matrix = matrix_from_scaffold(T.take_rows(1, k), Orientation.GAMMA)
+    # Gamma entry (i, j) depends only on rows i.. of X, so the lower block's
+    # scaffolding is the tail of T
+    below_coeffs = _coefficients(T.take_rows(k + 1, m))
     # a row bordered below a block is a row bordered above the block turned
     # by 180°, so its coefficients are those turned back
-    above_coeffs = _rotated(_coefficients(_rotated(X.take_rows(1, k))))
-    prefix_coeffs = _rotated(_coefficients(_rotated(prefix_matrix)))
+    above_coeffs = _rotated(_coefficients(gamma_scaffold(_rotated(X.take_rows(1, k)))))
+    prefix_coeffs = _rotated(_coefficients(gamma_scaffold(_rotated(prefix_matrix))))
     return InsertionSystem(n, k, below_coeffs, above_coeffs, prefix_coeffs, prefix_matrix)
 
 

@@ -416,11 +416,11 @@ def is_totally_positive(A: Matrix, method: str = "exhaustive", force: bool = Fal
     raise ValueError(f"unknown method {method!r}; expected 'exhaustive' or 'fast'")
 
 
-_TOKEN_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_TOKEN_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_token(token: str, line: Optional[int], pos: int) -> Fraction:
-    match = _TOKEN_RE.match(token)
+    match = _TOKEN_RE.fullmatch(token)
     if match is None:
         raise MatrixFormatError(f"token {pos}: invalid rational {token!r}", line=line)
     num = int(match.group(1))

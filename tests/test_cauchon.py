@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import random_positive_matrix, random_tp_matrix
+from oracles import laplace_minor, random_positive_matrix, random_tp_matrix
 from tpscaffold import (
+    CauchonTrace,
     Matrix,
     NotTotallyPositive,
     Orientation,
     StepOrder,
+    TraceStep,
     ZeroPivot,
     build_graph,
     cauchon_trace,
@@ -261,6 +264,28 @@ class TestPartialTPCheck:
         assert not result
         assert result.step == (2, 2)
         assert "minor" in result.detail
+
+    def test_checks_minors_inside_the_processed_region(self, rng):
+        # the region of a label: the positions lexicographically at most it
+        # (Gamma), or whose anti-transposed positions are (Le)
+        def in_region(a, b, label, order, m, n):
+            if order is StepOrder.COL_MAJOR:
+                return (n + 1 - b, m + 1 - a) <= (n + 1 - label[1], m + 1 - label[0])
+            return (a, b) <= label
+
+        for m, n in ((2, 3), (3, 3), (3, 4), (4, 2)):
+            M = random_positive_matrix(rng, m, n)
+            for order in StepOrder:
+                for label in itertools.product(range(1, m + 1), range(1, n + 1)):
+                    expected = all(
+                        laplace_minor(M, I, J) > 0
+                        for k in range(2, min(m, n) + 1)
+                        for I in itertools.combinations(range(1, m + 1), k)
+                        for J in itertools.combinations(range(1, n + 1), k)
+                        if all(in_region(a, b, label, order, m, n) for a in I for b in J)
+                    )
+                    trace = CauchonTrace(order, (TraceStep(label, M),))
+                    assert bool(partial_tp_check(trace)) == expected
 
     def test_reports_entry_violation(self):
         trace = cauchon_trace(Matrix([[1, -1], [1, 1]]), StepOrder.REVERSE_LEX)

@@ -67,6 +67,13 @@ class TestCheck:
         assert main(["check", "--fast", path]) == EXIT_OK
         capsys.readouterr()
 
+    def test_integer_of_any_length(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, "x.txt", "1 1\n" + "7" * 5000 + "\n")
+        assert main(["check", path]) == EXIT_OK
+        assert capsys.readouterr().out == "TP\n"
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestScaffoldAndReconstruct:
     def test_gamma_scaffold(self, tmp_path, capsys):
@@ -89,6 +96,22 @@ class TestScaffoldAndReconstruct:
         assert code == EXIT_OK
         assert capsys.readouterr().out == ""
         assert out.read_text() == T23_TEXT
+
+    def test_prints_integers_of_any_length(self, tmp_path, capsys):
+        d = "9" * 3000
+        path = write(tmp_path, "t.txt", f"2 2\n{d} {d}\n{d} 1\n")
+        assert main(["reconstruct", "--gamma", path]) == EXIT_OK
+        # d + d^2 = d * 10^3000
+        assert capsys.readouterr().out == f"2 2\n{d}{'0' * 3000} {d}\n{d} 1\n"
+
+    def test_unwritable_output_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "result.txt"
+        code = main(["scaffold", "--gamma", write(tmp_path, "x.txt", X23_TEXT), "-o", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert not out.exists()
 
     def test_orientation_flag_required(self, tmp_path, capsys):
         path = write(tmp_path, "x.txt", X23_TEXT)
@@ -158,6 +181,11 @@ class TestJson:
         path = write(tmp_path, "bool.json", boolean)
         assert main(["check", "--json", path]) == EXIT_MALFORMED
         capsys.readouterr()
+
+    def test_entry_with_trailing_newline_is_malformed(self, tmp_path, capsys):
+        path = write(tmp_path, "x.json", '{"rows": 1, "cols": 1, "entries": [["5\\n"]]}')
+        assert main(["check", "--json", path]) == EXIT_MALFORMED
+        assert capsys.readouterr().out == ""
 
 
 class TestMinor:
@@ -298,6 +326,18 @@ class TestErrorHandling:
         assert main(["check", path]) == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    def test_non_ascii_digits_are_malformed(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"
+        path.write_text("1 1\n\u0663/\u0667\n", encoding="utf-8")
+        assert main(["check", str(path)]) == EXIT_MALFORMED
+        assert "invalid rational" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"1 1\n\xff\n")
+        assert main(["check", str(path)]) == EXIT_MALFORMED
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

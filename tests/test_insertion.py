@@ -4,12 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import random_tp_matrix
+from oracles import path_sum_matrix, random_positive_matrix, random_tp_matrix
 from tpscaffold import (
     InsertionSolution,
     Matrix,
     NotTotallyPositive,
+    Orientation,
     affine_above_forms,
+    border_above_coefficient,
+    border_below_coefficient,
     build_insertion_system,
     gamma_scaffold,
     insert_column,
@@ -83,6 +86,24 @@ class TestInsertionSystem:
                         else:
                             assert below == 0
                             assert above > 0 and prefix > 0
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_coefficients_match_closed_forms(self, rng, orientation):
+        # the system is built by row passes; the minor-ratio formulas of
+        # bordering are its independent closed forms
+        for m in range(2, 7):
+            for n in range(1, 7):
+                X = path_sum_matrix(random_positive_matrix(rng, m, n), orientation)
+                for k in range(1, m):
+                    system = build_insertion_system(X, k)
+                    lower, upper = X.take_rows(k + 1, m), X.take_rows(1, k)
+                    for j in range(1, n + 1):
+                        for l in range(1, n + 1):
+                            assert system.below_coeffs[j, l] == border_above_coefficient(lower, j, l)
+                            assert system.above_coeffs[j, l] == border_below_coefficient(upper, l, j)
+                            assert system.prefix_coeffs[j, l] == border_below_coefficient(
+                                system.prefix_matrix, l, j
+                            )
 
     def test_position_validation(self, rng):
         X = random_tp_matrix(rng, 3, 2)

@@ -318,7 +318,7 @@ class TestTextFormat:
         assert err.value.line == 2
 
     def test_bad_tokens_rejected(self):
-        for token in ("1.5", "1/-2", "x", "1/2/3"):
+        for token in ("1.5", "1/-2", "x", "1/2/3", "\u0663", "\u0663/\u0667", "\uff11"):
             with pytest.raises(MatrixFormatError):
                 parse_matrix(f"1 1\n{token}\n")
 
@@ -351,3 +351,5 @@ class TestTextFormat:
             parse_matrix_json("{bad json")
         with pytest.raises(MatrixFormatError):
             parse_matrix_json('{"rows": true, "cols": true, "entries": [["5"]]}')
+        with pytest.raises(MatrixFormatError):
+            parse_matrix_json('{"rows": 1, "cols": 1, "entries": [["5\\n"]]}')

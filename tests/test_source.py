@@ -16,3 +16,9 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_parses_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10
+    for path in sorted(Path(tpscaffold.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
